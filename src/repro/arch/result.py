@@ -42,6 +42,9 @@ class ExecutionResult:
     trace: List[CommittedOp]
     outputs: Tuple[int, ...]
     invocations: Dict[int, InvocationRecord] = field(default_factory=dict)
+    #: Seq at which a struck run resumed from golden checkpoints
+    #: reconverged with the golden run and stopped early; None otherwise.
+    converged_seq: Optional[int] = None
 
     @property
     def instruction_count(self) -> int:

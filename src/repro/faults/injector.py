@@ -33,11 +33,15 @@ from repro.due.tracking import (
 )
 from repro.faults.mbu import representative_bit
 from repro.faults.model import Strike
-from repro.faults.oracle import EffectOracle
-from repro.isa import encoding
+# ``corrupt_burst`` is re-exported: this module is where callers look.
+from repro.faults.oracle import (  # noqa: F401
+    EffectOracle,
+    corrupt_burst,
+    corrupt_instruction,
+    default_limits,
+)
 from repro.isa.program import Program
 from repro.pipeline.iq import OccupantKind
-from repro.util.bitops import flip_bit
 
 # Re-export for convenience in examples/tests.
 StrikeSampler = None  # set below to avoid a circular definition
@@ -56,18 +60,6 @@ class StrikeVerdict:
     tracker_miss: bool = False
 
 
-def corrupt_instruction(instruction, bit: int):
-    """Flip one bit of an instruction's 41-bit encoding and re-decode."""
-    return encoding.decode(flip_bit(instruction.encode(), bit))
-
-
-def corrupt_burst(instruction, mask: int):
-    """Flip every set bit of ``mask`` in the encoding and re-decode."""
-    if mask <= 0:
-        raise ValueError("burst mask must have at least one set bit")
-    return encoding.decode(instruction.encode() ^ mask)
-
-
 def architectural_effect(
     program: Program,
     baseline: ExecutionResult,
@@ -78,14 +70,14 @@ def architectural_effect(
     """Re-execute with instruction ``seq`` corrupted; compare behaviour.
 
     This is the seed slow path, kept as the oracle's ground truth: every
-    call re-executes, with no memoization and no static filtering.
+    call re-executes the whole program from seq 0, with no memoization,
+    no static filtering and no checkpoints.
     """
     original = baseline.trace[seq].instruction
     corrupted = corrupt_instruction(original, bit)
     if corrupted == original:
         raise AssertionError("bit flip must change the instruction")
-    limits = limits or ExecutionLimits(
-        max_instructions=max(10_000, 3 * len(baseline.trace)))
+    limits = limits or default_limits(baseline)
     rerun = FunctionalSimulator(program, limits).run(
         record_trace=False, override_seq=seq, override_instruction=corrupted)
     if rerun.status is ExecutionStatus.LIMIT:

@@ -3,7 +3,8 @@
 ``architectural_effect`` re-executes the whole program per strike, but the
 answer depends only on ``(program, seq, bit)`` — a finite space that
 Monte-Carlo campaigns and tracking-level ablations hit repeatedly. The
-:class:`EffectOracle` removes that redundancy on three levels:
+:class:`EffectOracle` removes that redundancy on three levels, and makes
+each remaining re-execution cheap on a fourth:
 
 1. **In-process memo**: every computed ``(seq, bit) -> effect`` is kept,
    so a campaign pays for each distinct strike point once, not once per
@@ -41,6 +42,20 @@ Monte-Carlo campaigns and tracking-level ablations hit repeatedly. The
    content-addressed :class:`~repro.runtime.cache.ResultCache` under a
    key covering the program bytes and code version, so warm campaigns
    skip re-execution across worker processes and across runs.
+4. **Checkpointed, early-exit re-execution**: one untraced replay of the
+   baseline records a golden :class:`~repro.arch.executor.CheckpointTable`
+   every :data:`CHECKPOINT_INTERVAL` seqs. Each re-execution resumes at
+   the last checkpoint at or before the struck seq (the prefix before
+   the strike is the baseline's, by determinism) and, at each later
+   checkpoint, compares its whole state — pc, registers, predicates,
+   memory, call stack and outputs so far — with the baseline's. On a
+   match the rest of the run *is* the baseline's, so the effect is
+   ``"none"`` without running it. The executor allows that exit only when
+   the baseline halted cleanly and the budget covers the whole baseline
+   (``max_instructions >= len(baseline.trace)``); otherwise a run that
+   reconverges could still have been cut off as a hang, so it runs to its
+   own end. ``tests/test_checkpointed_oracle.py`` proves the result equal
+   to ``architectural_effect``, which stays the un-checkpointed reference.
 
 The static filter is semantics-preserving by construction; the
 ``--no-static-filter`` escape hatch exists to *measure* it (and to
@@ -49,13 +64,20 @@ reproduce seed-era wall-clock numbers), not because results differ.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis.deadcode import DynClass, analyze_deadness
-from repro.arch.executor import ExecutionLimits, FunctionalSimulator
+from repro.arch.executor import (
+    CheckpointTable,
+    ExecutionLimits,
+    FunctionalSimulator,
+)
 from repro.arch.result import ExecutionResult, ExecutionStatus
+from repro.isa import encoding
 from repro.isa.encoding import ENCODING_BITS, Field, field_at_bit, live_fields
+from repro.isa.instruction import Instruction
 from repro.isa.program import Program
+from repro.util.bitops import flip_bit
 
 #: Architectural effects the oracle may return.
 EFFECTS = ("none", "sdc", "trap", "hang")
@@ -74,6 +96,24 @@ _VALUE_FIELDS = (Field.R2, Field.R3, Field.IMM7)
 #: the two key families can never collide, and both survive
 #: :func:`validate_table`'s (int, int) shape check.
 _MASK_KEY_BASE = 1 << ENCODING_BITS
+
+
+#: Committed seqs between golden checkpoints. Smaller intervals resume
+#: closer to the strike and notice reconvergence sooner, at the cost of
+#: one state snapshot (memory dict included) per interval.
+CHECKPOINT_INTERVAL = 256
+
+
+def corrupt_instruction(instruction: Instruction, bit: int) -> Instruction:
+    """Flip one bit of an instruction's 41-bit encoding and re-decode."""
+    return encoding.decode(flip_bit(instruction.encode(), bit))
+
+
+def corrupt_burst(instruction: Instruction, mask: int) -> Instruction:
+    """Flip every set bit of ``mask`` in the encoding and re-decode."""
+    if mask <= 0:
+        raise ValueError("burst mask must have at least one set bit")
+    return encoding.decode(instruction.encode() ^ mask)
 
 
 def default_limits(baseline: ExecutionResult) -> ExecutionLimits:
@@ -109,10 +149,13 @@ class EffectOracle:
         self._deadness = None  # lazy: only the dead-dest rule needs it
         self._table: Dict[Tuple[int, int], str] = {}
         self._new: Dict[Tuple[int, int], str] = {}
+        #: Golden checkpoints, built on the second re-execution.
+        self._checkpoints: Optional[CheckpointTable] = None
         # Counters (mirrored into runtime telemetry by the campaign):
         self.memo_hits = 0
         self.static_kills = 0
         self.executions = 0
+        self.early_exits = 0
 
     # -- persistence hooks -------------------------------------------------
 
@@ -143,26 +186,16 @@ class EffectOracle:
             "oracle_memo_hits": self.memo_hits,
             "oracle_static_kills": self.static_kills,
             "oracle_executions": self.executions,
+            "oracle_early_exits": self.early_exits,
         }
 
     # -- the oracle itself -------------------------------------------------
 
     def effect(self, seq: int, bit: int) -> str:
         """Architectural effect of flipping ``bit`` of instruction ``seq``."""
-        key = (seq, bit)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if self.static_filter and self.classify_static(seq, bit) is not None:
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute(seq, bit)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        return self._resolve(
+            (seq, bit), seq, 1 << bit,
+            lambda: self.classify_static(seq, bit) is not None)
 
     def effect_from_hint(self, seq: int, bit: int, inert_hint: bool) -> str:
         """:meth:`effect` with the static verdict supplied by the caller.
@@ -175,20 +208,7 @@ class EffectOracle:
         Memoization, counter accounting, and the ``static_filter`` gate
         behave exactly as in :meth:`effect`.
         """
-        key = (seq, bit)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if self.static_filter and inert_hint:
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute(seq, bit)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        return self._resolve((seq, bit), seq, 1 << bit, lambda: inert_hint)
 
     def classify_static(self, seq: int, bit: int) -> Optional[str]:
         """Provably-inert classification, or None when execution is needed.
@@ -225,21 +245,9 @@ class EffectOracle:
             raise ValueError("burst mask must have at least one set bit")
         if mask & (mask - 1) == 0:
             return self.effect(seq, mask.bit_length() - 1)
-        key = (seq, _MASK_KEY_BASE | mask)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if (self.static_filter
-                and self.classify_static_mask(seq, mask) is not None):
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute_mask(seq, mask)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        return self._resolve(
+            (seq, _MASK_KEY_BASE | mask), seq, mask,
+            lambda: self.classify_static_mask(seq, mask) is not None)
 
     def effect_mask_from_hint(self, seq: int, mask: int,
                               inert_hint: bool) -> str:
@@ -255,20 +263,8 @@ class EffectOracle:
         if mask & (mask - 1) == 0:
             return self.effect_from_hint(seq, mask.bit_length() - 1,
                                          inert_hint)
-        key = (seq, _MASK_KEY_BASE | mask)
-        cached = self._table.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if self.static_filter and inert_hint:
-            self.static_kills += 1
-            effect = "none"
-        else:
-            self.executions += 1
-            effect = self._execute_mask(seq, mask)
-        self._table[key] = effect
-        self._new[key] = effect
-        return effect
+        return self._resolve((seq, _MASK_KEY_BASE | mask), seq, mask,
+                             lambda: inert_hint)
 
     def is_memoized_mask(self, seq: int, mask: int) -> bool:
         """Whether :meth:`effect_mask` would be served from the memo."""
@@ -311,44 +307,50 @@ class EffectOracle:
             return reasons[0]
         return "burst: " + " + ".join(sorted(set(reasons)))
 
-    def _execute_mask(self, seq: int, mask: int) -> str:
-        """Slow path for bursts: re-execute with every mask bit flipped."""
-        from repro.faults.injector import corrupt_burst
-
-        original = self.baseline.trace[seq].instruction
-        corrupted = corrupt_burst(original, mask)
-        if corrupted == original:
-            raise AssertionError("burst flip must change the instruction")
-        rerun = FunctionalSimulator(self.program, self.limits).run(
-            record_trace=False, override_seq=seq,
-            override_instruction=corrupted)
-        if rerun.status is ExecutionStatus.LIMIT:
-            return "hang"
-        if rerun.status in (ExecutionStatus.TRAP_ILLEGAL,
-                            ExecutionStatus.RET_UNDERFLOW):
-            return "trap"
-        if rerun.output_signature() == self._baseline_signature:
-            return "none"
-        return "sdc"
-
     @property
     def deadness(self):
         if self._deadness is None:
             self._deadness = analyze_deadness(self.baseline)
         return self._deadness
 
-    def _execute(self, seq: int, bit: int) -> str:
-        """The slow path: re-execute with the corrupted instruction."""
-        # Local import: injector imports this module at definition time.
-        from repro.faults.injector import corrupt_instruction
+    # -- re-execution ------------------------------------------------------
 
-        original = self.baseline.trace[seq].instruction
-        corrupted = corrupt_instruction(original, bit)
-        if corrupted == original:
-            raise AssertionError("bit flip must change the instruction")
-        rerun = FunctionalSimulator(self.program, self.limits).run(
+    def _resolve(self, key: Tuple[int, int], seq: int, mask: int,
+                 inert: Callable[[], bool]) -> str:
+        """Memo lookup, then the static verdict, then re-execution."""
+        cached = self._table.get(key)
+        if cached is not None:
+            self.memo_hits += 1
+            return cached
+        if self.static_filter and inert():
+            self.static_kills += 1
+            effect = "none"
+        else:
+            effect = self._reexecute(seq, corrupt_burst(
+                self.baseline.trace[seq].instruction, mask))
+        self._table[key] = effect
+        self._new[key] = effect
+        return effect
+
+    def _reexecute(self, seq: int, corrupted: Instruction) -> str:
+        """The slow path: re-execute with instruction ``seq`` replaced.
+
+        The first re-execution runs from seq 0. Later ones resume from the
+        golden checkpoint table, built by one untraced baseline replay on
+        the second call, so a one-shot oracle pays one run, not two.
+        """
+        if corrupted == self.baseline.trace[seq].instruction:
+            raise AssertionError("a strike must change the instruction")
+        self.executions += 1
+        simulator = FunctionalSimulator(self.program, self.limits)
+        if self._checkpoints is None and self.executions > 1:
+            self._checkpoints = CheckpointTable(CHECKPOINT_INTERVAL)
+            simulator.run(record_trace=False, checkpoints=self._checkpoints)
+        rerun = simulator.run(
             record_trace=False, override_seq=seq,
-            override_instruction=corrupted)
+            override_instruction=corrupted, checkpoints=self._checkpoints)
+        if rerun.converged_seq is not None:
+            self.early_exits += 1
         if rerun.status is ExecutionStatus.LIMIT:
             return "hang"
         if rerun.status in (ExecutionStatus.TRAP_ILLEGAL,

@@ -77,7 +77,8 @@ class Telemetry:
         """One-paragraph human-readable account of the work performed.
 
         ``verbose`` appends the fast-path breakdown (effect-oracle memo
-        hits / static kills / re-executions and warmed-hierarchy reuse)
+        hits / static kills / re-executions / early exits and
+        warmed-hierarchy reuse)
         even when it would normally be folded away, plus the raw counter
         dump.
         """
@@ -169,8 +170,11 @@ class Telemetry:
         if not total:
             return ""
         fast = memo + static
-        return (f"oracle: {memo} memo hits, {static} static kills, "
+        text = (f"oracle: {memo} memo hits, {static} static kills, "
                 f"{executed} re-executions ({fast / total:.0%} fast path)")
+        if c["oracle_early_exits"]:
+            text += f", {c['oracle_early_exits']} reconverged early"
+        return text
 
     def _format_chunk_memo(self) -> str:
         """Chunk-memo account, empty when the fast path never engaged."""

@@ -169,7 +169,8 @@ class TestOracleMemo:
         prog, baseline = rule_setup
         oracle = EffectOracle(prog, baseline)
         assert set(oracle.counters()) == {
-            "oracle_memo_hits", "oracle_static_kills", "oracle_executions"}
+            "oracle_memo_hits", "oracle_static_kills", "oracle_executions",
+            "oracle_early_exits"}
 
 
 class TestOraclePersistence:
@@ -345,6 +346,16 @@ class TestOracleTelemetryFormat:
                                   "oracle_executions": 1})
         assert ("oracle: 6 memo hits, 3 static kills, 1 re-executions "
                 "(90% fast path)") in telemetry.format_summary()
+
+    def test_early_exits_rendered_when_nonzero(self):
+        telemetry = Telemetry()
+        telemetry.merge_counters({"oracle_memo_hits": 6,
+                                  "oracle_static_kills": 3,
+                                  "oracle_executions": 4,
+                                  "oracle_early_exits": 3})
+        assert ("oracle: 6 memo hits, 3 static kills, 4 re-executions "
+                "(69% fast path), 3 reconverged early"
+                ) in telemetry.format_summary()
 
     def test_silent_when_oracle_unused(self):
         assert "oracle:" not in Telemetry().format_summary()

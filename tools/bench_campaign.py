@@ -4,11 +4,13 @@ Times one parity fault-injection campaign three ways on the same
 workload and strike sequence:
 
 * ``seed`` — the seed-era loop: one throwaway evaluator per trial, no
-  memoization, no static filter (every committed read strike re-executes
-  the whole program);
+  memoization, no static filter. Every committed read strike re-executes
+  the whole program from seq 0: a one-shot oracle builds its golden
+  checkpoint table only on a second re-execution, which never comes;
 * ``cold`` — the campaign-scoped evaluator with an empty effect oracle
-  (memo + static filter fill in as the campaign runs, and the table is
-  persisted through the result cache);
+  (memo + static filter fill in as the campaign runs, re-executions
+  resume from golden checkpoints and stop once they reconverge, and the
+  table is persisted through the result cache);
 * ``warm`` — the same campaign re-run against the persisted oracle
   table. The campaign *tally* cache entry is deleted first so all trials
   genuinely run; only per-strike re-execution is skipped.
@@ -83,7 +85,7 @@ def timed(fn):
 def oracle_counters(telemetry):
     return {name: telemetry.counters[name]
             for name in ("oracle_memo_hits", "oracle_static_kills",
-                         "oracle_executions")}
+                         "oracle_executions", "oracle_early_exits")}
 
 
 def batch_counters(telemetry):
